@@ -14,10 +14,11 @@
 // pulled automatically from the context the instrumented layers already
 // thread.
 //
-// Storage is a bounded ring buffer (old events are evicted, with an
-// eviction counter), and pluggable sinks observe every accepted event as
-// it is emitted: a text sink for the command-line binaries, a JSONL sink
-// for tests and the determinism gate.
+// Storage is a bounded ring buffer that grows on demand up to its
+// capacity (old events are evicted, with an eviction counter), and
+// pluggable sinks observe every accepted event as it is emitted: a text
+// sink for the command-line binaries, a JSONL sink for tests and the
+// determinism gate.
 package obslog
 
 import (
@@ -152,29 +153,35 @@ type Sink interface {
 // All methods are nil-safe: a nil *Journal accepts and drops everything,
 // so instrumented layers log unconditionally.
 type Journal struct {
-	mu      sync.Mutex
-	clock   Clock
-	min     Level   // guarded by mu
-	ring    []Event // guarded by mu
-	next    uint64  // guarded by mu; next sequence number (first event is 1)
-	head    int     // guarded by mu; ring index of the oldest retained event
-	count   int     // guarded by mu; retained events
-	evicted uint64  // guarded by mu
-	sinks   []Sink  // guarded by mu
+	mu       sync.Mutex
+	clock    Clock
+	capacity int     // bound on retained events; the ring grows up to it
+	min      Level   // guarded by mu
+	ring     []Event // guarded by mu; len(ring) is the current allocation
+	next     uint64  // guarded by mu; next sequence number (first event is 1)
+	head     int     // guarded by mu; ring index of the oldest retained event
+	count    int     // guarded by mu; retained events
+	evicted  uint64  // guarded by mu
+	sinks    []Sink  // guarded by mu
 }
 
-// DefaultCapacity is the ring size New uses when given a non-positive
+// DefaultCapacity is the ring bound New uses when given a non-positive
 // capacity: enough for a full simulated campaign.
 const DefaultCapacity = 1 << 16
 
-// New creates a journal stamping through clock with the given ring
-// capacity (DefaultCapacity when cap <= 0). The minimum level starts at
-// LevelDebug.
+// minRing is the first allocation of a journal's ring.
+const minRing = 64
+
+// New creates a journal stamping through clock that retains at most
+// capacity events (DefaultCapacity when capacity <= 0). The ring is
+// allocated on the first event and doubles as it fills, so a journal
+// costs memory in proportion to what it holds, not to its bound. The
+// minimum level starts at LevelDebug.
 func New(clock Clock, capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Journal{clock: clock, ring: make([]Event, 0, capacity)}
+	return &Journal{clock: clock, capacity: capacity}
 }
 
 // SetLevel drops events below min from the journal and its sinks.
@@ -201,8 +208,9 @@ func (j *Journal) AddSink(s Sink) {
 // the run ID and active span from ctx. Events below the minimum level are
 // dropped. Nil journals drop everything.
 //
-// The ring never reallocates: the fill phase stores through a reslice of
-// the backing array New made, and the steady state overwrites in place.
+// While the ring is full but below capacity, growLocked doubles it; once
+// it reaches capacity the steady state overwrites the oldest event in
+// place, so Emit itself never allocates.
 //
 //perf:hot
 func (j *Journal) Emit(ctx context.Context, level Level, component, msg string, fields ...Field) {
@@ -222,18 +230,31 @@ func (j *Journal) Emit(ctx context.Context, level Level, component, msg string, 
 		Seq: j.next, Time: j.clock.Now(), Level: level,
 		Component: component, Msg: msg, Run: run, Tenant: tenant, Span: span, Fields: fields,
 	}
-	if j.count < cap(j.ring) {
-		j.ring = j.ring[:j.count+1]
+	if j.count == len(j.ring) && j.count < j.capacity {
+		j.growLocked()
+	}
+	if j.count < len(j.ring) {
+		// Until the ring first wraps, head is 0 and events fill it in order.
 		j.ring[j.count] = e
 		j.count++
 	} else {
 		j.ring[j.head] = e
-		j.head = (j.head + 1) % cap(j.ring)
+		j.head = (j.head + 1) % len(j.ring)
 		j.evicted++
 	}
 	for _, s := range j.sinks {
 		s.Write(e)
 	}
+}
+
+// growLocked doubles the ring (starting at minRing, never past capacity).
+// It runs only before the first wrap, so the retained events are
+// ring[:count] in order and head stays 0.
+func (j *Journal) growLocked() {
+	n := min(max(2*len(j.ring), minRing), j.capacity)
+	ring := make([]Event, n)
+	copy(ring, j.ring[:j.count])
+	j.ring = ring
 }
 
 // Filter selects a subset of the retained events.
@@ -252,7 +273,7 @@ type Filter struct {
 	Limit int
 }
 
-func (f Filter) match(e Event) bool {
+func (f *Filter) match(e *Event) bool {
 	if e.Level < f.MinLevel {
 		return false
 	}
@@ -276,16 +297,40 @@ func (j *Journal) Events(f Filter) []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	out := make([]Event, 0, j.count)
+	j.eachLocked(f, func(e *Event) error {
+		out = append(out, *e)
+		return nil
+	})
+	return out
+}
+
+// eachLocked calls fn on the retained events matching f, oldest first,
+// honouring f.Limit, and stops at fn's first error.
+func (j *Journal) eachLocked(f Filter, fn func(e *Event) error) error {
+	skip := 0
+	if f.Limit > 0 {
+		n := 0
+		for i := 0; i < j.count; i++ {
+			if f.match(&j.ring[(j.head+i)%len(j.ring)]) {
+				n++
+			}
+		}
+		skip = n - f.Limit
+	}
 	for i := 0; i < j.count; i++ {
-		e := j.ring[(j.head+i)%cap(j.ring)]
-		if f.match(e) {
-			out = append(out, e)
+		e := &j.ring[(j.head+i)%len(j.ring)]
+		if !f.match(e) {
+			continue
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		if err := fn(e); err != nil {
+			return err
 		}
 	}
-	if f.Limit > 0 && len(out) > f.Limit {
-		out = out[len(out)-f.Limit:]
-	}
-	return out
+	return nil
 }
 
 // Len returns the number of retained events.

@@ -1,7 +1,6 @@
 package obslog
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -49,34 +48,52 @@ func (s *TextSink) Write(e Event) {
 
 // JSONLSink streams every accepted event as one JSON object per line —
 // the machine-readable form the determinism gate compares byte for byte.
+// Its lines are the ones WriteJSONL dumps.
 type JSONLSink struct {
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte // reused line buffer; Write runs under the journal lock
 }
 
 // NewJSONLSink returns a JSONL sink writing to w.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
+	return &JSONLSink{w: w}
 }
 
 // Write encodes one event as a JSON line. Field order follows the Event
-// struct, so identical journals encode to identical bytes.
+// struct, so identical journals encode to identical bytes. Events whose
+// timestamp JSON cannot carry are dropped, as json.Encoder drops them.
 func (s *JSONLSink) Write(e Event) {
-	if s == nil || s.enc == nil {
+	if s == nil || s.w == nil {
 		return
 	}
-	s.enc.Encode(e)
+	buf, err := appendJSONL(s.buf[:0], &e)
+	if err != nil {
+		return
+	}
+	s.buf = buf
+	s.w.Write(buf)
 }
 
 // WriteJSONL dumps the retained events matching f to w, one JSON object
 // per line, oldest first. Two journals with identical contents produce
 // identical bytes — the property scripts/check.sh's determinism stage
-// asserts across sim runs.
+// asserts across sim runs. The ring is encoded in place under the
+// journal lock, so emitters wait while w is written.
 func (j *Journal) WriteJSONL(w io.Writer, f Filter) error {
-	enc := json.NewEncoder(w)
-	for _, e := range j.Events(f) {
-		if err := enc.Encode(e); err != nil {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var buf []byte
+	return j.eachLocked(f, func(e *Event) error {
+		var err error
+		if buf, err = appendJSONL(buf[:0], e); err == nil {
+			_, err = w.Write(buf)
+		}
+		if err != nil {
 			return fmt.Errorf("obslog: encode event %d: %w", e.Seq, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -45,5 +46,39 @@ func TestSeedCorpus(t *testing.T) {
 				t.Fatalf("expectations failed: %v", v.Outcome.FailedChecks())
 			}
 		})
+	}
+}
+
+// BenchmarkCorpusPass decodes, builds and runs every YAML spec of the seed
+// corpus once per iteration: the sim layers' cost per corpus pass, with
+// allocations.
+func BenchmarkCorpusPass(b *testing.B) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.yaml"))
+	if err != nil || len(paths) == 0 {
+		b.Fatalf("no corpus specs (%v)", err)
+	}
+	var raws [][]byte
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		raws = append(raws, raw)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, raw := range raws {
+			spec, err := Decode(raw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r, err := NewRunner(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := r.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }

@@ -9,37 +9,90 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
 )
 
-// event is a scheduled wakeup in the virtual timeline.
+// event is a scheduled wakeup in the virtual timeline: at time at, the
+// engine wakes the process blocked on wake (its Proc's channel).
 type event struct {
 	at   time.Time
 	seq  int64 // tie-break: FIFO among same-time events
 	wake chan struct{}
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+// before orders events by time, then by scheduling order.
+func (ev *event) before(o *event) bool {
+	if c := ev.at.Compare(o.at); c != 0 {
+		return c < 0
 	}
-	return q[i].seq < q[j].seq
+	return ev.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events, stored by value so that
+// scheduling a wakeup allocates nothing once the backing array is large
+// enough.
+type eventHeap []event
+
+// push adds ev to the heap.
+//
+//perf:hot
+func (h *eventHeap) push(ev event) {
+	if len(*h) == cap(*h) {
+		h.grow()
+	}
+	q := (*h)[:len(*h)+1]
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	*h = q
+}
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+//
+//perf:hot
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the channel reference
+	q = q[:n]
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
+}
+
+// grow doubles the heap's backing array, off push's allocation-free path.
+func (h *eventHeap) grow() {
+	q := make(eventHeap, len(*h), max(2*cap(*h), 16))
+	copy(q, *h)
+	*h = q
 }
 
 // Engine owns the virtual clock and the event queue. Create with New, add
@@ -47,7 +100,7 @@ func (q *eventQueue) Pop() interface{} {
 type Engine struct {
 	nowMu  sync.Mutex // guards now against readers outside the sim thread
 	now    time.Time  // guarded by nowMu
-	events eventQueue
+	events eventHeap
 	seq    int64
 	yield  chan struct{} // the running process signals here when it blocks or ends
 	live   int           // processes started and not yet finished
@@ -75,15 +128,16 @@ func (e *Engine) setNow(t time.Time) {
 	e.nowMu.Unlock()
 }
 
-// schedule pushes a wakeup at time t and returns its channel.
-func (e *Engine) schedule(at time.Time) *event {
+// schedule pushes a wakeup of the process blocked on wake at time at
+// (clamped to now).
+//
+//perf:hot
+func (e *Engine) schedule(at time.Time, wake chan struct{}) {
 	if now := e.Now(); at.Before(now) {
 		at = now
 	}
 	e.seq++
-	ev := &event{at: at, seq: e.seq, wake: make(chan struct{})}
-	heap.Push(&e.events, ev)
-	return ev
+	e.events.push(event{at: at, seq: e.seq, wake: wake})
 }
 
 // Proc is the handle a simulated process uses to interact with virtual
@@ -92,6 +146,9 @@ type Proc struct {
 	e    *Engine
 	Name string
 	done *Signal
+	// wake is the process's one wakeup channel: a process blocks on at
+	// most one event at a time, so every event it waits on carries it.
+	wake chan struct{}
 }
 
 // Go starts a new simulated process. fn runs in its own goroutine but is
@@ -99,11 +156,11 @@ type Proc struct {
 // Resource/Signal, which use them). The returned Signal fires when fn
 // returns.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Signal {
-	p := &Proc{e: e, Name: name, done: NewSignal(e)}
+	p := &Proc{e: e, Name: name, done: NewSignal(e), wake: make(chan struct{})}
 	e.live++
-	ev := e.schedule(e.Now())
+	e.schedule(e.Now(), p.wake)
 	go func() {
-		<-ev.wake
+		<-p.wake
 		defer func() {
 			e.live--
 			p.done.Fire()
@@ -124,13 +181,12 @@ func (e *Engine) Run() time.Time {
 // after deadline (a zero deadline means run to completion). The clock is
 // left at the last executed event (or the deadline, if later).
 func (e *Engine) RunUntil(deadline time.Time) time.Time {
-	for e.events.Len() > 0 {
-		ev := e.events[0]
-		if !deadline.IsZero() && ev.at.After(deadline) {
+	for len(e.events) > 0 {
+		if at := e.events[0].at; !deadline.IsZero() && at.After(deadline) {
 			e.setNow(deadline)
 			return e.Now()
 		}
-		heap.Pop(&e.events)
+		ev := e.events.pop()
 		e.setNow(ev.at)
 		ev.wake <- struct{}{}
 		<-e.yield
@@ -153,9 +209,9 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	ev := p.e.schedule(p.e.Now().Add(d))
+	p.e.schedule(p.e.Now().Add(d), p.wake)
 	p.e.yield <- struct{}{}
-	<-ev.wake
+	<-p.wake
 }
 
 // Signal is a one-shot level-triggered event: Wait blocks until Fire has
@@ -163,7 +219,7 @@ func (p *Proc) Sleep(d time.Duration) {
 type Signal struct {
 	e       *Engine
 	fired   bool
-	waiters []*event
+	waiters []chan struct{} // wake channels of the blocked processes
 }
 
 // NewSignal creates a signal bound to the engine.
@@ -180,11 +236,9 @@ func (s *Signal) Fire() {
 	s.fired = true
 	now := s.e.Now()
 	for _, w := range s.waiters {
-		// Reschedule each waiter as a fresh event at the fire time.
-		w.at = now
+		// Each waiter wakes as a fresh event at the fire time.
 		s.e.seq++
-		w.seq = s.e.seq
-		heap.Push(&s.e.events, w)
+		s.e.events.push(event{at: now, seq: s.e.seq, wake: w})
 	}
 	s.waiters = nil
 }
@@ -197,11 +251,10 @@ func (s *Signal) Wait(p *Proc) {
 	if s.fired {
 		return
 	}
-	s.e.seq++
-	ev := &event{at: s.e.Now(), seq: s.e.seq, wake: make(chan struct{})}
-	s.waiters = append(s.waiters, ev)
+	s.e.seq++ // numbered like every other scheduling step
+	s.waiters = append(s.waiters, p.wake)
 	p.e.yield <- struct{}{}
-	<-ev.wake
+	<-p.wake
 }
 
 // WaitAll blocks until every signal has fired.
@@ -218,7 +271,7 @@ type Resource struct {
 	e        *Engine
 	capacity int
 	inUse    int
-	queue    []*event
+	queue    []chan struct{} // wake channels of the waiters, FIFO
 	// PeakQueue tracks the maximum number of simultaneous waiters, a
 	// congestion metric the prune-incident experiment reports.
 	PeakQueue int
@@ -247,14 +300,13 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.e.seq++
-	ev := &event{at: r.e.Now(), seq: r.e.seq, wake: make(chan struct{})}
-	r.queue = append(r.queue, ev)
+	r.e.seq++ // numbered like every other scheduling step
+	r.queue = append(r.queue, p.wake)
 	if len(r.queue) > r.PeakQueue {
 		r.PeakQueue = len(r.queue)
 	}
 	p.e.yield <- struct{}{}
-	<-ev.wake
+	<-p.wake
 	// The releaser transferred its slot to us: inUse stays constant.
 }
 
@@ -263,10 +315,8 @@ func (r *Resource) Release() {
 	if len(r.queue) > 0 {
 		next := r.queue[0]
 		r.queue = r.queue[1:]
-		next.at = r.e.Now()
 		r.e.seq++
-		next.seq = r.e.seq
-		heap.Push(&r.e.events, next)
+		r.e.events.push(event{at: r.e.Now(), seq: r.e.seq, wake: next})
 		return // slot handed directly to the waiter
 	}
 	r.inUse--

@@ -289,6 +289,7 @@ func TestCapacityFloor(t *testing.T) {
 }
 
 func BenchmarkEngine10kEvents(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := New(epoch)
 		for j := 0; j < 100; j++ {
@@ -339,6 +340,83 @@ func TestClockMonotoneProperty(t *testing.T) {
 		}
 		if !end.Equal(epoch.Add(longest)) {
 			t.Fatalf("trial %d: end %v, want epoch+%v", trial, end, longest)
+		}
+	}
+}
+
+// TestSleepWakeupsDoNotAllocate: a wakeup reuses its process's channel and
+// is stored by value in the event heap, so a process sleeping 10k times
+// costs a fixed handful of allocations (engine, process, goroutine, heap
+// growth), not one or more per wakeup.
+func TestSleepWakeupsDoNotAllocate(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		e := New(epoch)
+		e.Go("p", func(p *Proc) {
+			for k := 0; k < 10000; k++ {
+				p.Sleep(time.Second)
+			}
+		})
+		e.Run()
+	})
+	if allocs > 16 {
+		t.Fatalf("10k sleeps cost %v allocations, want at most 16", allocs)
+	}
+}
+
+// TestMixedWakeOrderAtEqualTime pins the wake order of sleepers, signal
+// waiters and resource waiters that all become runnable at the same
+// virtual instant: FIFO by the order their wakeups were scheduled.
+func TestMixedWakeOrderAtEqualTime(t *testing.T) {
+	want := []string{"holder", "firer", "sleeper", "q1", "w1", "w2", "sleeper+0", "q2"}
+	for trial := 0; trial < 20; trial++ {
+		e := New(epoch)
+		s := NewSignal(e)
+		r := NewResource(e, 1)
+		var order []string
+		log := func(p *Proc, name string) {
+			if !p.Now().Equal(epoch.Add(5 * time.Second)) {
+				t.Fatalf("%s woke at %v", name, p.Now())
+			}
+			order = append(order, name)
+		}
+		e.Go("holder", func(p *Proc) {
+			r.Acquire(p)
+			p.Sleep(5 * time.Second)
+			log(p, "holder")
+			r.Release() // hands the slot to q1
+		})
+		for _, name := range []string{"w1", "q1", "w2", "q2"} {
+			name := name
+			e.Go(name, func(p *Proc) {
+				if name[0] == 'w' {
+					s.Wait(p)
+					log(p, name)
+					return
+				}
+				r.Acquire(p)
+				log(p, name)
+				r.Release()
+			})
+		}
+		e.Go("firer", func(p *Proc) {
+			p.Sleep(5 * time.Second)
+			s.Fire() // wakes w1 then w2
+			log(p, "firer")
+		})
+		e.Go("sleeper", func(p *Proc) {
+			p.Sleep(5 * time.Second)
+			log(p, "sleeper")
+			p.Sleep(0) // requeues behind everything already runnable
+			log(p, "sleeper+0")
+		})
+		e.Run()
+		if len(order) != len(want) {
+			t.Fatalf("trial %d: order %v, want %v", trial, order, want)
+		}
+		for i := range want {
+			if order[i] != want[i] {
+				t.Fatalf("trial %d: order %v, want %v", trial, order, want)
+			}
 		}
 	}
 }

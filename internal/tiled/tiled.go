@@ -139,17 +139,25 @@ func EncodeSlice(im *vol.Image) []byte {
 	return out
 }
 
-// DecodeSlice parses the slice wire format.
+// maxSliceDim bounds each decoded slice dimension, far above any detector
+// width, so even an empty slice cannot carry an absurd width or height.
+const maxSliceDim = 1 << 20
+
+// DecodeSlice parses the slice wire format. The dimensions are untrusted:
+// each is bounded, and their product is checked in 64 bits against the
+// payload length before anything is allocated, so no header can wrap the
+// check or make the decoder allocate more than the payload carries.
 func DecodeSlice(raw []byte) (*vol.Image, error) {
 	if len(raw) < 8 {
 		return nil, fmt.Errorf("tiled: slice payload too short")
 	}
-	w := int(binary.LittleEndian.Uint32(raw[0:]))
-	h := int(binary.LittleEndian.Uint32(raw[4:]))
-	if w < 0 || h < 0 || len(raw) != 8+4*w*h {
+	w := uint64(binary.LittleEndian.Uint32(raw[0:]))
+	h := uint64(binary.LittleEndian.Uint32(raw[4:]))
+	// The bounds are checked first, so w*h cannot overflow.
+	if n := uint64(len(raw) - 8); w > maxSliceDim || h > maxSliceDim || n%4 != 0 || w*h != n/4 {
 		return nil, fmt.Errorf("tiled: slice payload %d bytes for %dx%d", len(raw), w, h)
 	}
-	im := vol.NewImage(w, h)
+	im := vol.NewImage(int(w), int(h))
 	for i := range im.Pix {
 		im.Pix[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(raw[8+i*4:])))
 	}
