@@ -259,10 +259,18 @@ func BenchmarkContentionPolicy(b *testing.B) {
 // scaling (runs/h at 1, 2, 4 workers over the same offered load),
 // streaming protection under an injected reprocessing burst with
 // admission control deferring and shedding file work, and fair-share
-// tracking of the 3:2:2:1 weights at a mid-backlog checkpoint.
+// tracking of the 3:2:2:1 weights at a mid-backlog checkpoint. It also
+// reports the sim kernel's delivered events and goroutine handoffs per
+// iteration, summed over the five campaigns.
 func BenchmarkCampaignScheduler(b *testing.B) {
 	var w1, w2, w4, dev float64
 	var res *core.CampaignResult
+	var events, handoffs int64
+	count := func(c *core.Campaign) {
+		st := c.Base.Engine.Stats()
+		events += st.Events
+		handoffs += st.Handoffs
+	}
 	for i := 0; i < b.N; i++ {
 		// (a) worker-pool scaling over an identical backlogged load.
 		scale := func(workers int) float64 {
@@ -271,7 +279,10 @@ func BenchmarkCampaignScheduler(b *testing.B) {
 			cfg.Reserved = 0
 			cfg.ScanInterval = 20 * time.Minute
 			cfg.Admission = sched.Admission{}
-			return core.NewCampaign(epoch, cfg).Run(5).RunsPerHour
+			c := core.NewCampaign(epoch, cfg)
+			rph := c.Run(5).RunsPerHour
+			count(c)
+			return rph
 		}
 		w1, w2, w4 = scale(1), scale(2), scale(4)
 
@@ -280,7 +291,9 @@ func BenchmarkCampaignScheduler(b *testing.B) {
 		cfg := core.DefaultCampaignConfig()
 		cfg.BurstAt = 2 * time.Hour
 		cfg.BurstScans = 20
-		res = core.NewCampaign(epoch, cfg).Run(50)
+		bc := core.NewCampaign(epoch, cfg)
+		res = bc.Run(50)
+		count(bc)
 
 		// (c) fair share measured while every file tenant is backlogged.
 		fcfg := core.DefaultCampaignConfig()
@@ -299,6 +312,7 @@ func BenchmarkCampaignScheduler(b *testing.B) {
 		fc.Base.Engine.RunUntil(epoch.Add(9 * time.Hour))
 		dev = core.FileShareDeviation(fc.Sched.Snapshot())
 		fc.Base.Engine.Run()
+		count(fc)
 	}
 	b.ReportMetric(w1, "runs_per_hour_w1")
 	b.ReportMetric(w2, "runs_per_hour_w2")
@@ -308,6 +322,8 @@ func BenchmarkCampaignScheduler(b *testing.B) {
 	b.ReportMetric(float64(res.Deferred), "deferred_runs")
 	b.ReportMetric(float64(res.Shed), "shed_runs")
 	b.ReportMetric(dev, "fairshare_dev_pct")
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/op")
 }
 
 // BenchmarkPreprocessAblation (A3) measures what the file branch's

@@ -51,7 +51,8 @@ func TestSeedCorpus(t *testing.T) {
 
 // BenchmarkCorpusPass decodes, builds and runs every YAML spec of the seed
 // corpus once per iteration: the sim layers' cost per corpus pass, with
-// allocations.
+// allocations and the sim kernel's delivered events and goroutine
+// handoffs.
 func BenchmarkCorpusPass(b *testing.B) {
 	paths, err := filepath.Glob(filepath.Join("testdata", "*.yaml"))
 	if err != nil || len(paths) == 0 {
@@ -66,6 +67,7 @@ func BenchmarkCorpusPass(b *testing.B) {
 		raws = append(raws, raw)
 	}
 	b.ReportAllocs()
+	var events, handoffs int64
 	for i := 0; i < b.N; i++ {
 		for _, raw := range raws {
 			spec, err := Decode(raw)
@@ -79,6 +81,11 @@ func BenchmarkCorpusPass(b *testing.B) {
 			if _, err := r.Run(); err != nil {
 				b.Fatal(err)
 			}
+			st := r.Campaign.Base.Engine.Stats()
+			events += st.Events
+			handoffs += st.Handoffs
 		}
 	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/op")
 }

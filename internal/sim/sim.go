@@ -98,13 +98,29 @@ func (h *eventHeap) grow() {
 // Engine owns the virtual clock and the event queue. Create with New, add
 // processes with Go, then call Run.
 type Engine struct {
-	nowMu  sync.Mutex // guards now against readers outside the sim thread
-	now    time.Time  // guarded by nowMu
-	events eventHeap
-	seq    int64
-	yield  chan struct{} // the running process signals here when it blocks or ends
-	live   int           // processes started and not yet finished
+	nowMu    sync.Mutex // guards now against readers outside the sim thread
+	now      time.Time  // guarded by nowMu
+	events   eventHeap
+	seq      int64
+	yield    chan struct{} // control returns to RunUntil here once no event is due
+	deadline time.Time     // the current RunUntil's deadline (zero: none)
+	live     int           // processes started and not yet finished
+	stats    Stats
 }
+
+// Stats counts the kernel's work over an engine's lifetime.
+type Stats struct {
+	// Events is the number of wakeups delivered.
+	Events int64
+	// Handoffs is the number of times control crossed goroutines: a
+	// wakeup delivered to another process, or control returned to
+	// RunUntil. A process woken by its own event runs on inline.
+	Handoffs int64
+}
+
+// Stats returns the engine's counters. Like the rest of the engine it is
+// not safe to call while RunUntil is running.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // New creates an engine whose clock starts at epoch.
 func New(epoch time.Time) *Engine {
@@ -164,7 +180,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Signal {
 		defer func() {
 			e.live--
 			p.done.Fire()
-			e.yield <- struct{}{}
+			e.handoff(nil)
 		}()
 		fn(p)
 	}()
@@ -180,21 +196,64 @@ func (e *Engine) Run() time.Time {
 // RunUntil executes events until the queue is empty or the next event is
 // after deadline (a zero deadline means run to completion). The clock is
 // left at the last executed event (or the deadline, if later).
+//
+// RunUntil delivers only the first event itself: from then on each
+// process that blocks hands control straight to the next event's process
+// (see handoff), and control comes back here once no event is due.
 func (e *Engine) RunUntil(deadline time.Time) time.Time {
-	for len(e.events) > 0 {
-		if at := e.events[0].at; !deadline.IsZero() && at.After(deadline) {
-			e.setNow(deadline)
-			return e.Now()
-		}
-		ev := e.events.pop()
-		e.setNow(ev.at)
-		ev.wake <- struct{}{}
+	e.deadline = deadline
+	if w := e.next(); w != nil {
+		e.stats.Handoffs++
+		w <- struct{}{}
 		<-e.yield
+	}
+	if len(e.events) > 0 {
+		e.setNow(deadline)
+		return e.Now()
 	}
 	if e.live > 0 {
 		panic(fmt.Sprintf("sim: deadlock: %d live processes with empty event queue", e.live))
 	}
 	return e.Now()
+}
+
+// next pops the earliest event if one is due by the current deadline,
+// advances the clock to it and returns the wake channel of the process it
+// wakes; it returns nil when the queue is empty or the next event lies
+// past the deadline.
+//
+//perf:hot
+func (e *Engine) next() chan struct{} {
+	if len(e.events) == 0 {
+		return nil
+	}
+	if !e.deadline.IsZero() && e.events[0].at.After(e.deadline) {
+		return nil
+	}
+	ev := e.events.pop()
+	e.stats.Events++
+	e.setNow(ev.at)
+	return ev.wake
+}
+
+// handoff passes control from the running process, which is blocking on
+// own (nil when it is exiting), to whoever runs next: the next event's
+// process, or RunUntil when no event is due. A process whose own wakeup
+// is next just keeps running, with no goroutine switch.
+//
+//perf:hot
+func (e *Engine) handoff(own chan struct{}) {
+	w := e.next()
+	if w == nil {
+		w = e.yield
+	} else if w == own {
+		return
+	}
+	e.stats.Handoffs++
+	w <- struct{}{}
+	if own != nil {
+		<-own
+	}
 }
 
 // Now returns the current virtual time.
@@ -210,8 +269,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	p.e.schedule(p.e.Now().Add(d), p.wake)
-	p.e.yield <- struct{}{}
-	<-p.wake
+	p.e.handoff(p.wake)
 }
 
 // Signal is a one-shot level-triggered event: Wait blocks until Fire has
@@ -253,8 +311,7 @@ func (s *Signal) Wait(p *Proc) {
 	}
 	s.e.seq++ // numbered like every other scheduling step
 	s.waiters = append(s.waiters, p.wake)
-	p.e.yield <- struct{}{}
-	<-p.wake
+	p.e.handoff(p.wake)
 }
 
 // WaitAll blocks until every signal has fired.
@@ -305,8 +362,7 @@ func (r *Resource) Acquire(p *Proc) {
 	if len(r.queue) > r.PeakQueue {
 		r.PeakQueue = len(r.queue)
 	}
-	p.e.yield <- struct{}{}
-	<-p.wake
+	p.e.handoff(p.wake)
 	// The releaser transferred its slot to us: inUse stays constant.
 }
 

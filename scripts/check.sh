@@ -121,6 +121,15 @@ echo "== scenario goldens (full seed corpus, seeded replay vs golden) =="
 # own declared expectations.
 go run ./cmd/scenario verify
 
+echo "== scenario goldens under GOMAXPROCS=1 and GOMAXPROCS=8 =="
+# The sim kernel passes control from one process goroutine straight to the
+# next, so the replay must not depend on how many threads run them.
+go build -o "$jdir/scenario" ./cmd/scenario
+for procs in 1 8; do
+	echo "GOMAXPROCS=$procs"
+	GOMAXPROCS=$procs "$jdir/scenario" verify
+done
+
 echo "== scenario determinism (same spec twice, byte-identical outcomes) =="
 go run ./cmd/scenario run internal/scenario/testdata/sfapi_outage.yaml >"$jdir/o1.json"
 go run ./cmd/scenario run internal/scenario/testdata/sfapi_outage.yaml >"$jdir/o2.json"
@@ -140,6 +149,8 @@ go test -run '^$' -fuzz '^FuzzTIFFRoundTrip$' -fuzztime 5s ./internal/tiff
 go test -run '^$' -fuzz '^FuzzScenarioSpec$' -fuzztime 5s ./internal/scenario
 go test -run '^$' -fuzz '^FuzzEventJSONL$' -fuzztime 5s ./internal/obslog
 go test -run '^$' -fuzz '^FuzzDecodeSlice$' -fuzztime 5s ./internal/tiled
+go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/pva
+go test -run '^$' -fuzz '^FuzzDecodePreview$' -fuzztime 5s ./internal/core
 
 echo "== coverage floors =="
 # floor() fails the gate when a package's statement coverage drops below
